@@ -19,12 +19,12 @@ Refresh::
 
     PYTHONPATH=src python benchmarks/emit_bench_json.py
 
-To also (re)measure the pre-fast-kernel baseline live, point
+To also measure the pre-fast-kernel baseline live, point
 ``--baseline-src`` at a checkout of the commit preceding the fast
-kernel (e.g. ``git worktree add /tmp/prepr <commit>`` then
-``--baseline-src /tmp/prepr/src``).  Without it, any baseline figures
-in an existing ``BENCH_simulator.json`` are carried forward with their
-original provenance note.
+kernel (e.g. ``git archive <commit> | tar -x -C /tmp/prepr`` then
+``--baseline-src /tmp/prepr/src``).  Without it the baseline fields
+are written as ``null`` and ``"not measured"``: a number from an
+earlier file is never carried forward under a ``"live"`` label.
 
 ``--engine`` instead measures the *experiment engine* and writes
 ``BENCH_engine.json``.  Two families of scenarios:
@@ -612,6 +612,74 @@ def emit_engine(args) -> int:
         sys.path.pop(0)
 
 
+def simulator_payload(
+    best: dict[tuple[str, str], float], *, rounds: int, accesses: int, baseline_note: str
+) -> dict:
+    """Assemble ``BENCH_simulator.json`` from best-of-rounds throughputs.
+
+    ``best`` maps ``(scenario, lane)`` to accesses/second for the lanes
+    ``fast``, ``reference`` and ``trace_gen`` (and ``native`` /
+    ``pre_pr`` when measured).  Baseline fields come only from a
+    ``pre_pr`` lane measured in this run; without one they are
+    ``null`` and the baseline reads ``"not measured"``.
+    """
+    live = any(lane == "pre_pr" for _, lane in best)
+    scenarios = {}
+    for name, benches in CORE_SCENARIOS.items():
+        fast = best[(name, "fast")]
+        ref = best[(name, "reference")]
+        trace_gen = best[(name, "trace_gen")]
+        pre = best.get((name, "pre_pr"))
+        native = best.get((name, "native"))
+        # Generation and kernel times add: 1/fast = 1/kernel + 1/trace_gen.
+        kernel_inv = 1.0 / fast - 1.0 / trace_gen
+        scenarios[name] = {
+            "benchmarks": benches,
+            "fast_acc_per_s": round(fast),
+            "reference_acc_per_s": round(ref),
+            "native_acc_per_s": round(native) if native else None,
+            "trace_gen_acc_per_s": round(trace_gen),
+            "kernel_only_acc_per_s": round(1.0 / kernel_inv) if kernel_inv > 0 else None,
+            "trace_share_of_fast": round(fast / trace_gen, 3),
+            "pre_pr_acc_per_s": round(pre) if pre else None,
+            "speedup_fast_vs_reference": round(fast / ref, 2),
+            "speedup_native_vs_fast": round(native / fast, 2) if native else None,
+            "speedup_fast_vs_pre_pr": round(fast / pre, 2) if pre else None,
+        }
+    return {
+        "generated_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "host": _host_info(),
+        "method": (
+            f"best of {rounds} interleaved rounds, "
+            f"{accesses} accesses/core, scaled_params(16), quantum=512; "
+            f"the native lane (compiled kernel tier) is measured only when "
+            f"numba imports, JIT warmed off the clock"
+        ),
+        "baseline": {
+            "note": baseline_note,
+            "measured": "live" if live else "not measured",
+        },
+        "scenarios": scenarios,
+        "geomean_speedup_fast_vs_reference": round(
+            _geomean([s["speedup_fast_vs_reference"] for s in scenarios.values()]), 2
+        ),
+        "geomean_speedup_native_vs_fast": (
+            round(g, 2)
+            if (g := _geomean(
+                [s["speedup_native_vs_fast"] or 0 for s in scenarios.values()]
+            ))
+            else None
+        ),
+        "geomean_speedup_fast_vs_pre_pr": (
+            round(g, 2)
+            if (g := _geomean(
+                [s["speedup_fast_vs_pre_pr"] or 0 for s in scenarios.values()]
+            ))
+            else None
+        ),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rounds", type=int, default=5)
@@ -638,10 +706,6 @@ def main(argv: list[str] | None = None) -> int:
         return emit_engine(args)
 
     src = str(REPO_ROOT / "src")
-    prior = {}
-    if args.out.exists():
-        prior = json.loads(args.out.read_text())
-
     best: dict[tuple[str, str], float] = {}
     lanes = [("fast", src, "fast"), ("reference", src, "reference")]
     # Native scalar lane only where the compiled tier actually engages
@@ -672,67 +736,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}: " + "  ".join(
             f"{lane}={best[(name, lane)]:,.0f}/s" for lane, _, _ in lanes)
             + f"  trace_gen={best[(name, 'trace_gen')]:,.0f}/s")
-
-    scenarios = {}
-    for name, benches in CORE_SCENARIOS.items():
-        fast = best[(name, "fast")]
-        ref = best[(name, "reference")]
-        trace_gen = best[(name, "trace_gen")]
-        pre = best.get((name, "pre_pr"))
-        if pre is None:
-            pre = (
-                prior.get("scenarios", {}).get(name, {}).get("pre_pr_acc_per_s")
-            )
-        native = best.get((name, "native"))
-        # Generation and kernel times add: 1/fast = 1/kernel + 1/trace_gen.
-        kernel_inv = 1.0 / fast - 1.0 / trace_gen
-        scenarios[name] = {
-            "benchmarks": benches,
-            "fast_acc_per_s": round(fast),
-            "reference_acc_per_s": round(ref),
-            "native_acc_per_s": round(native) if native else None,
-            "trace_gen_acc_per_s": round(trace_gen),
-            "kernel_only_acc_per_s": round(1.0 / kernel_inv) if kernel_inv > 0 else None,
-            "trace_share_of_fast": round(fast / trace_gen, 3),
-            "pre_pr_acc_per_s": round(pre) if pre else None,
-            "speedup_fast_vs_reference": round(fast / ref, 2),
-            "speedup_native_vs_fast": round(native / fast, 2) if native else None,
-            "speedup_fast_vs_pre_pr": round(fast / pre, 2) if pre else None,
-        }
-
-    payload = {
-        "generated_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "host": _host_info(),
-        "method": (
-            f"best of {args.rounds} interleaved rounds, "
-            f"{args.accesses} accesses/core, scaled_params(16), quantum=512; "
-            f"the native lane (compiled kernel tier) is measured only when "
-            f"numba imports, JIT warmed off the clock"
-        ),
-        "baseline": {
-            "note": args.baseline_note,
-            "measured": "live" if args.baseline_src else
-            prior.get("baseline", {}).get("measured", "carried-forward"),
-        },
-        "scenarios": scenarios,
-        "geomean_speedup_fast_vs_reference": round(
-            _geomean([s["speedup_fast_vs_reference"] for s in scenarios.values()]), 2
-        ),
-        "geomean_speedup_native_vs_fast": (
-            round(g, 2)
-            if (g := _geomean(
-                [s["speedup_native_vs_fast"] or 0 for s in scenarios.values()]
-            ))
-            else None
-        ),
-        "geomean_speedup_fast_vs_pre_pr": (
-            round(g, 2)
-            if (g := _geomean(
-                [s["speedup_fast_vs_pre_pr"] or 0 for s in scenarios.values()]
-            ))
-            else None
-        ),
-    }
+    payload = simulator_payload(
+        best, rounds=args.rounds, accesses=args.accesses, baseline_note=args.baseline_note
+    )
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -102,7 +102,7 @@ from repro.sim.machine import Machine
 from repro.sim.params import MachineParams, default_params, scaled_params
 from repro.workloads.mixes import WorkloadMix, all_mixes, make_mixes
 
-__version__ = "2.2.0"
+__version__ = "2.3.1"
 
 __all__ = [
     "BatchRunSpec",

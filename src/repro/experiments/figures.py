@@ -22,6 +22,7 @@ from repro.experiments.config import ScaleConfig, get_scale
 from repro.experiments.engine import ExperimentSession, RunSpec, default_session
 from repro.experiments.runner import WorkloadEval, build_machine
 from repro.platform.simulated import SimulatedPlatform
+from repro.workloads.classify import DEFAULT_WAY_SWEEP
 from repro.workloads.mixes import CATEGORIES, WorkloadMix, make_mixes
 from repro.workloads.speclike import BENCHMARKS
 
@@ -96,19 +97,19 @@ def get_store(sc: ScaleConfig | None = None, session: ExperimentSession | None =
 
 # ------------------------------------------------------- Figs. 1-3 (alone)
 
-_PROFILES: dict[tuple[str, str, bool], dict] = {}
+_PROFILES: dict[str, dict] = {}
 
 
-def _profiles(
-    sc: ScaleConfig, *, ways: bool = False, session: ExperimentSession | None = None
-) -> dict[str, object]:
-    key = sc.name
-    cache_key = (key, "profiles", ways)
-    if cache_key not in _PROFILES:
-        sweep = (1, 2, 4, 6, 8, 12, 16, 20) if ways else None
+def _profiles(sc: ScaleConfig, *, session: ExperimentSession | None = None) -> dict[str, object]:
+    """Every benchmark's profile with the Fig. 3 way sweep, per scale.
+
+    Figs. 1-3 share one planned ``profile`` run per benchmark: the
+    swept profile carries the prefetch on/off numbers Figs. 1-2 read.
+    """
+    if sc.name not in _PROFILES:
         sess = session or default_session()
-        _PROFILES[cache_key] = sess.profile_all(tuple(BENCHMARKS), sc, way_sweep=sweep)
-    return _PROFILES[cache_key]
+        _PROFILES[sc.name] = sess.profile_all(tuple(BENCHMARKS), sc, way_sweep=DEFAULT_WAY_SWEEP)
+    return _PROFILES[sc.name]
 
 
 def fig01_bandwidth(sc: ScaleConfig | None = None) -> dict:
@@ -145,7 +146,7 @@ def fig02_prefetch_speedup(sc: ScaleConfig | None = None) -> dict:
 def fig03_way_sensitivity(sc: ScaleConfig | None = None) -> dict:
     """IPC vs. number of LLC ways (prefetchers on)."""
     sc = sc or get_scale()
-    profiles = _profiles(sc, ways=True)
+    profiles = _profiles(sc)
     rows = []
     for name, p in profiles.items():
         rows.append(

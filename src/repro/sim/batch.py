@@ -92,6 +92,7 @@ count a degradation (:func:`note_degradation`, surfaced as
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 
 import numpy as np
@@ -321,16 +322,26 @@ def _images_equal(a, b) -> bool:
 
 
 class _LaneNode:
-    """A point in a core's (quantum, mask) history tree."""
+    """A point in a core's (quantum, mask) history tree.
 
-    __slots__ = ("parent", "key", "edges", "snapshot", "depth")
+    Nodes own their children through ``edges``; the link back to the
+    parent is weak, so the tree holds no reference cycles and a dropped
+    kernel frees its recorded history at once instead of waiting for a
+    full cyclic garbage collection.  The root is owned by its tree.
+    """
+
+    __slots__ = ("_parent", "key", "edges", "snapshot", "depth", "__weakref__")
 
     def __init__(self, parent=None, key=None) -> None:
-        self.parent = parent
+        self._parent = None if parent is None else weakref.ref(parent)
         self.key = key  # (q, mask) edge taken from parent to reach here
         self.edges: dict[tuple[int, int], _LaneEdge] = {}
         self.snapshot: _LaneState | None = None
         self.depth = 0 if parent is None else parent.depth + 1
+
+    @property
+    def parent(self) -> "_LaneNode | None":
+        return None if self._parent is None else self._parent()
 
 
 class _LaneTree:
@@ -1107,6 +1118,8 @@ def run_static_sweep(
     configs: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]],
     masks: tuple[int, ...],
     n_accesses: int,
+    *,
+    warmup: int = 0,
 ) -> list[StaticSweepRun]:
     """Advance R static runs in lockstep through one SoA kernel pass.
 
@@ -1119,6 +1132,12 @@ def run_static_sweep(
     per-run counters, and every per-run arithmetic sequence matches a
     scalar fast machine op for op: results are bit-identical to running
     each configuration on its own machine.
+
+    ``warmup`` accesses run first, exactly like a scalar machine's
+    ``run_accesses(warmup)`` before a PMU snapshot: each run's PMU
+    counters and ``wall_cycles`` are then the measured-window deltas
+    ``pmu.delta_since(snapshot)`` returns there.  LLC stats and
+    occupancy stay whole-run values, as on the scalar machine.
     """
     params = kernel.params
     n = params.n_cores
@@ -1151,65 +1170,75 @@ def run_static_sweep(
     mem_d = np.zeros((R, n), dtype=np.int64)
     pref_m = np.zeros((R, n), dtype=np.int64)
 
-    remaining = int(n_accesses)
-    while remaining > 0:
-        q = min(kernel.quantum, remaining)
-        llc_reqs: list[list] = [[] for _ in range(n)]
-        edges = {}
-        for cpu, cursor in cursors.items():
-            e = cursor.tree.step(cursor, q, eff_mask[cpu])
-            edges[cpu] = e
-            llc_reqs[cpu] = e.llc_req
-        stream = kernel.grouped_stream(llc_reqs)
-        hits_d[:] = 0
-        mem_d[:] = 0
-        pref_m[:] = 0
-        if stream.n:
-            glc.serve(stream, allowed, hits_d, mem_d, pref_m)
-        active = [False] * n
-        ipm = [0.0] * n
-        mlp = [1.0] * n
-        for cpu, e in edges.items():
-            active[cpu] = True
-            ipm[cpu] = e.ipm
-            mlp[cpu] = e.mlp
-        t0 = profiling.clock() if profiling.ON else 0.0
-        for r in range(R):
-            counts = [QuantumCounts() for _ in range(n)]
-            prow = pmu[r]
+    def advance(n_acc: int) -> None:
+        remaining = int(n_acc)
+        while remaining > 0:
+            q = min(kernel.quantum, remaining)
+            llc_reqs: list[list] = [[] for _ in range(n)]
+            edges = {}
+            for cpu, cursor in cursors.items():
+                e = cursor.tree.step(cursor, q, eff_mask[cpu])
+                edges[cpu] = e
+                llc_reqs[cpu] = e.llc_req
+            stream = kernel.grouped_stream(llc_reqs)
+            hits_d[:] = 0
+            mem_d[:] = 0
+            pref_m[:] = 0
+            if stream.n:
+                glc.serve(stream, allowed, hits_d, mem_d, pref_m)
+            active = [False] * n
+            ipm = [0.0] * n
+            mlp = [1.0] * n
             for cpu, e in edges.items():
-                qc = counts[cpu]
-                qc.n_access = e.n_access
-                qc.n_l2_hit_d = e.n_l2_hit_d
-                fastengine.apply_llc_tail(
-                    qc,
-                    prow,
-                    cpu,
-                    int(hits_d[r, cpu]),
-                    int(mem_d[r, cpu]),
-                    int(pref_m[r, cpu]),
-                    line_bytes,
-                )
-                prow[cpu] += e.pmu_row
-            timing = solve_quantum(params, drams[r], counts, ipm, mlp, active)
-            demand_b = 0.0
-            pref_b = 0.0
-            for cpu in range(n):
-                if not active[cpu]:
-                    continue
-                c = counts[cpu]
-                prow[cpu, Event.INSTRUCTIONS] += c.n_access * (1.0 + ipm[cpu])
-                prow[cpu, Event.CYCLES] += timing.cycles[cpu]
-                prow[cpu, Event.STALLS_L2_PENDING] += timing.stalls_l2_pending[cpu]
-                prow[cpu, Event.MEM_DEMAND_BYTES] += c.demand_bytes
-                prow[cpu, Event.MEM_PREF_BYTES] += c.pref_bytes
-                demand_b += c.demand_bytes
-                pref_b += c.pref_bytes
-            drams[r].account(demand_b, pref_b)
-            wall[r] += timing.machine_cycles
-        if profiling.ON:
-            profiling.add("timing", profiling.clock() - t0)
-        remaining -= q
+                active[cpu] = True
+                ipm[cpu] = e.ipm
+                mlp[cpu] = e.mlp
+            t0 = profiling.clock() if profiling.ON else 0.0
+            for r in range(R):
+                counts = [QuantumCounts() for _ in range(n)]
+                prow = pmu[r]
+                for cpu, e in edges.items():
+                    qc = counts[cpu]
+                    qc.n_access = e.n_access
+                    qc.n_l2_hit_d = e.n_l2_hit_d
+                    fastengine.apply_llc_tail(
+                        qc,
+                        prow,
+                        cpu,
+                        int(hits_d[r, cpu]),
+                        int(mem_d[r, cpu]),
+                        int(pref_m[r, cpu]),
+                        line_bytes,
+                    )
+                    prow[cpu] += e.pmu_row
+                timing = solve_quantum(params, drams[r], counts, ipm, mlp, active)
+                demand_b = 0.0
+                pref_b = 0.0
+                for cpu in range(n):
+                    if not active[cpu]:
+                        continue
+                    c = counts[cpu]
+                    prow[cpu, Event.INSTRUCTIONS] += c.n_access * (1.0 + ipm[cpu])
+                    prow[cpu, Event.CYCLES] += timing.cycles[cpu]
+                    prow[cpu, Event.STALLS_L2_PENDING] += timing.stalls_l2_pending[cpu]
+                    prow[cpu, Event.MEM_DEMAND_BYTES] += c.demand_bytes
+                    prow[cpu, Event.MEM_PREF_BYTES] += c.pref_bytes
+                    demand_b += c.demand_bytes
+                    pref_b += c.pref_bytes
+                drams[r].account(demand_b, pref_b)
+                wall[r] += timing.machine_cycles
+            if profiling.ON:
+                profiling.add("timing", profiling.clock() - t0)
+            remaining -= q
+
+    if warmup > 0:
+        advance(warmup)
+        snap_pmu = [p.copy() for p in pmu]
+        snap_wall = wall[:]
+    advance(n_accesses)
+    if warmup > 0:
+        pmu = [p - s for p, s in zip(pmu, snap_pmu)]
+        wall = [w - s for w, s in zip(wall, snap_wall)]
 
     return [
         StaticSweepRun(pmu[r], wall[r], glc.stats_for(r), glc.occupancy(r)) for r in range(R)

@@ -5,8 +5,9 @@ Every simulation run regenerates its benchmark traces from scratch
 (:func:`repro.workloads.speclike.build_trace` + ``TraceGenerator``
 chunk synthesis), even though a cold sweep asks for the *same* traces
 over and over: every mechanism run of a mix re-synthesises the mix's
-eight per-core streams, and a profile way-sweep rebuilds one benchmark
-a dozen times.  This module materializes a trace once per
+eight per-core streams, and a benchmark's profile reads one trace for
+its prefetch-off run and again for its way sweep.  This module
+materializes a trace once per
 ``(benchmark spec, llc_lines, base_line, seed)`` into a flat int64
 ``(2, length)`` array — row 0 the ctx ids, row 1 the line addresses —
 and serves it back through :class:`MaterializedTrace`, which implements

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.batch import BatchKernel, run_static_sweep
 from repro.sim.cat import low_ways_mask
-from repro.sim.machine import Machine
+from repro.sim.machine import DEFAULT_QUANTUM, Machine
 from repro.sim.params import MachineParams
-from repro.sim.pmu import Event
+from repro.sim.pmu import Event, PmuSample
+from repro.sim.tracestore import TraceStore
 from repro.workloads.speclike import BenchmarkSpec, benchmark, build_trace
 
 #: Paper thresholds.
@@ -83,7 +85,7 @@ def run_alone(
     seed: int = 0,
     prefetch_mask: int = 0x0,
     ways: int | None = None,
-    quantum: int = 1024,
+    quantum: int = DEFAULT_QUANTUM,
     warmup: int = 0,
     trace_store=None,
 ) -> tuple[Machine, tuple]:
@@ -94,8 +96,8 @@ def run_alone(
     window's start.  Returns ``(machine, snapshot)``.
 
     ``trace_store`` serves the trace from the materialized plane
-    (:mod:`repro.sim.tracestore`) — a profile way-sweep re-runs the
-    *same* trace a dozen times, which the store generates exactly once.
+    (:mod:`repro.sim.tracestore`) instead of synthesising it live;
+    results are bit-identical either way.
     """
     if isinstance(spec, str):
         spec = benchmark(spec)
@@ -125,13 +127,13 @@ def run_alone(
     return m, snap
 
 
-def _ipc_and_bw(m: Machine, snap) -> tuple[float, float, float]:
-    sample = m.pmu.delta_since(snap)
+def _ipc_and_bw(sample: PmuSample, params: MachineParams) -> tuple[float, float, float]:
+    """(IPC, demand MB/s, demand+prefetch MB/s) of core 0 over ``sample``."""
     cyc = sample.get(0, Event.CYCLES)
     if cyc <= 0:
         return 0.0, 0.0, 0.0
     ipc = sample.get(0, Event.INSTRUCTIONS) / cyc
-    secs = cyc / m.params.cycles_per_second
+    secs = cyc / params.cycles_per_second
     demand_mbs = sample.get(0, Event.MEM_DEMAND_BYTES) / secs / 1e6
     pref_mbs = sample.get(0, Event.MEM_PREF_BYTES) / secs / 1e6
     return ipc, demand_mbs, demand_mbs + pref_mbs
@@ -151,32 +153,46 @@ def profile_benchmark(
 
     ``warmup`` defaults to ``n_accesses`` (one full measured-window
     length) so pointer-chase working sets are resident before timing.
+
+    The prefetch-on run and every swept way count differ only in the
+    CAT mask, which a lone core's L1/L2/prefetcher phase never sees, so
+    they run as one :func:`~repro.sim.batch.run_static_sweep`: one core
+    lane walk feeding one grouped LLC serve, bit-identical to a scalar
+    :func:`run_alone` per configuration.  Way counts above the LLC's
+    associativity are skipped.  The prefetch-off run stays a scalar
+    :func:`run_alone`.  The sweep needs a forkable materialized trace;
+    when ``trace_store`` cannot serve one (no store, plane off, not in
+    a worker's manifest) the trace is materialized into a private
+    in-memory store.
     """
     if isinstance(spec, str):
         spec = benchmark(spec)
     if warmup is None:
         warmup = n_accesses
-    m_on, s_on = run_alone(
-        spec, params, n_accesses, seed=seed, prefetch_mask=0x0, warmup=warmup,
-        trace_store=trace_store,
+    # Core 0's trace, as run_alone requests it (its region starts at line 0).
+    request = dict(
+        llc_lines=params.llc.lines, base_line=0, seed=seed, length=warmup + n_accesses
     )
-    ipc_on, demand_on, total_on = _ipc_and_bw(m_on, s_on)
+    trace = trace_store.trace_for(spec, **request) if trace_store is not None else None
+    if trace is None:
+        trace_store = TraceStore(mode="memory")
+        trace = trace_store.trace_for(spec, **request)
+
     m_off, s_off = run_alone(
         spec, params, n_accesses, seed=seed, prefetch_mask=0xF, warmup=warmup,
         trace_store=trace_store,
     )
-    ipc_off, demand_off, _ = _ipc_and_bw(m_off, s_off)
+    ipc_off, demand_off, _ = _ipc_and_bw(m_off.pmu.delta_since(s_off), params)
 
-    ipc_by_ways: dict[int, float] = {}
-    if way_sweep:
-        for w in way_sweep:
-            if w > params.llc.ways:
-                continue
-            m_w, s_w = run_alone(
-                spec, params, n_accesses, seed=seed, ways=w, warmup=warmup,
-                trace_store=trace_store,
-            )
-            ipc_by_ways[w], _, _ = _ipc_and_bw(m_w, s_w)
+    # Row 0: prefetchers on, default CAT.  Then core 0 in CLOS 1 with
+    # the low ``w`` ways, exactly as ``run_alone(ways=w)`` sets it up.
+    ways = [w for w in (way_sweep or ()) if w <= params.llc.ways]
+    configs = [((), ())] + [(((1, low_ways_mask(w, params.llc.ways)),), (1,)) for w in ways]
+    kernel = BatchKernel(params, quantum=DEFAULT_QUANTUM)
+    kernel.add_core(0, trace)
+    rows = run_static_sweep(kernel, configs, (0x0,), n_accesses, warmup=warmup)
+    on, *swept = (_ipc_and_bw(PmuSample(r.pmu_counts, r.wall_cycles), params) for r in rows)
+    ipc_on, demand_on, total_on = on
 
     return AloneProfile(
         name=spec.name,
@@ -185,7 +201,7 @@ def profile_benchmark(
         demand_bw_off_mbs=demand_off,
         total_bw_on_mbs=total_on,
         demand_bw_on_mbs=demand_on,
-        ipc_by_ways=ipc_by_ways,
+        ipc_by_ways={w: ipc for w, (ipc, _, _) in zip(ways, swept)},
     )
 
 

@@ -55,6 +55,22 @@ class TestClassifyCommand:
         assert "matches registry    : True" in out
         assert "aggressive=False" in out
 
+    def test_tiny_stdout_is_pinned(self, capsys):
+        """The command profiles with no trace store, so its way sweep
+        runs on a private in-memory store; output predates batching."""
+        assert main(["classify", "453.povray", "--scale", "tiny"]) == 0
+        assert capsys.readouterr().out == (
+            "benchmark           : 453.povray\n"
+            "IPC (prefetch on)   : 2.222\n"
+            "IPC (prefetch off)  : 2.222\n"
+            "prefetch speedup    : -0.0%\n"
+            "demand BW (off)     : 0 MB/s\n"
+            "BW increase         : +0.0%\n"
+            "min ways for 80%    : 1\n"
+            "classes             : aggressive=False friendly=False llc_sensitive=False\n"
+            "matches registry    : True\n"
+        )
+
 
 class TestCacheCommand:
     def test_stats_empty(self, capsys, tmp_path):

@@ -15,13 +15,16 @@ Also home to the unit tests for the :mod:`repro.sim.engines` registry.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.experiments.batch import BatchRunSpec, build_batch_kernel, simulate_batch
+from repro.experiments.batch import _apply_static
 from repro.experiments.batch import _run_mechanism as run_mechanism_on
 from repro.experiments.config import ScaleConfig
 from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedRun
@@ -193,6 +196,52 @@ class TestLockstepSweep:
             assert rows[i].wall_cycles == ref["wall"], f"run {i}: wall"
             assert rows[i].llc_stats == ref["llc"], f"run {i}: llc stats"
             assert np.array_equal(rows[i].llc_occupancy, ref["occ"]), f"run {i}: occupancy"
+
+    @pytest.mark.parametrize("warmup", [1248, 4096])
+    def test_warmup_returns_the_measured_window(self, store, warmup):
+        """With ``warmup``, each run's PMU counters and wall cycles are the
+        scalar machine's ``pmu.delta_since`` over the measured window;
+        1248 also ends the warm-up on a short quantum."""
+        mix = _mix("pref_unfri")
+        w = SC.params().llc.ways
+        configs = [_cat_split(2 + i, w, mix.n_cores) for i in range(3)]
+        masks = MASKS["pf_mixed"]
+        kernel = build_batch_kernel(mix, SC, store, length=warmup + N_ACCESSES)
+        rows = run_static_sweep(kernel, configs, masks, N_ACCESSES, warmup=warmup)
+        for i, (clos_cbms, core_clos) in enumerate(configs):
+            m = build_machine(mix, SC, trace_store=store)
+            _apply_static(m, BatchRunSpec(
+                mix=mix, n_accesses=N_ACCESSES, masks=masks,
+                clos_cbms=clos_cbms, core_clos=core_clos,
+            ))
+            m.run_accesses(warmup)
+            snap = m.pmu.snapshot()
+            m.run_accesses(N_ACCESSES)
+            ref = m.pmu.delta_since(snap)
+            assert np.array_equal(rows[i].pmu_counts, ref.deltas), f"run {i}: pmu"
+            assert repr(rows[i].wall_cycles) == repr(ref.wall_cycles), f"run {i}: wall"
+
+
+class TestLaneTreeLifetime:
+    def test_dropped_kernel_frees_its_history_without_gc(self, store):
+        """Lane trees link children strongly and parents weakly, so a
+        dropped kernel's recorded edges go by reference counting."""
+        mix = _mix("pref_agg")
+        kernel = build_batch_kernel(mix, SC, store, length=N_ACCESSES)
+        run_static_sweep(kernel, [((), ())] * 2, MASKS["pf_on"], N_ACCESSES)
+        node = kernel._trees[0].root
+        refs = [weakref.ref(node)]
+        while node.edges:
+            node = next(iter(node.edges.values())).child
+            assert node.parent is not None
+        refs.append(weakref.ref(node))
+        del node
+        gc.disable()
+        try:
+            del kernel
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestMidRunControlFlips:

@@ -7,7 +7,7 @@ import repro
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "2.2.0"
+        assert repro.__version__ == "2.3.1"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
